@@ -16,6 +16,13 @@ rendezvous in the paper:
   in bulk.  Float timebase only, no trajectory recording — but one to two
   orders of magnitude faster on Monte-Carlo campaigns, with outcomes matching
   the event engine to 1e-9 relative tolerance (see the parity test suite).
+
+Each engine has one loop.  The Section 5 asymmetric-radius model is a strict
+generalization of the symmetric one and runs through the same loop with the
+freeze as its one optional branch: :func:`simulate_asymmetric` passes a freeze
+rule to the event engine's ``drive_windows``, and
+:func:`simulate_batch_asymmetric` passes per-instance freeze radii to the
+batch engine's round loop.
 """
 
 from repro.sim.events import EventKind, get_event_kind, register_event_kind, registered_event_kinds

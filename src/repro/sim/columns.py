@@ -1,14 +1,15 @@
-"""Flat result columns shared by the vectorized batch engines.
+"""Flat result columns of the vectorized batch engine.
 
-The batch engines (:mod:`repro.sim.batch`, :mod:`repro.sim.batch_asymmetric`)
-resolve instances round by round, but build no per-instance Python objects
-while rounds are running: every outcome field lives in a preallocated numpy
-column indexed by instance position, written with masked assignments as whole
-rounds classify at once.  :class:`ResultColumns` is that struct — the columns
-of the eventual :class:`~repro.sim.results.SimulationResult` list plus the
-carried per-instance round state (requested horizon, scan resume point,
-window counts, partial closest approach) that the first engine generation
-kept in dicts.  Only :meth:`ResultColumns.build_results` touches Python
+The batch engine's round loop (:mod:`repro.sim.batch`, behind both batch
+entry points) resolves instances round by round, but builds no per-instance
+Python objects while rounds are running: every outcome field lives in a
+preallocated numpy column indexed by instance position, written with masked
+assignments as whole rounds classify at once.  :class:`ResultColumns` is that
+struct — the columns of the eventual
+:class:`~repro.sim.results.SimulationResult` list plus the carried
+per-instance round state (requested horizon, scan resume point, window
+counts, partial closest approach) that the first engine generation kept in
+dicts.  Only :meth:`ResultColumns.build_results` touches Python
 objects, once per batch, after the last round.
 
 Sentinel conventions: ``NaN`` encodes ``None`` in float columns (meeting
@@ -48,7 +49,7 @@ RENDEZVOUS, MAX_TIME, MAX_SEGMENTS, PROGRAMS_FINISHED = range(4)
 class ResultColumns:
     """Preallocated per-instance outcome and round-state columns.
 
-    One row per instance of the batch, in input order.  The engines write
+    One row per instance of the batch, in input order.  The round loop writes
     rows with masked fancy-indexed assignments (never per-instance Python);
     rows of instances still pending keep their initial sentinels until the
     round that resolves them.
@@ -132,7 +133,7 @@ class ResultColumns:
 
         The one per-instance Python pass of a batch run.  ``algorithm_name``
         is a single shared name or one name per instance (the asymmetric
-        engine embeds per-instance radii in the name).
+        entry point embeds per-instance radii in the name).
         """
         names = (
             [algorithm_name] * len(self)

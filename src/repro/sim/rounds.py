@@ -1,13 +1,13 @@
-"""Shared round/horizon machinery of the vectorized batch engines.
+"""Round/horizon building blocks of the vectorized batch engine.
 
-Both batch engines — the symmetric :func:`repro.sim.batch.simulate_batch` and
-the asymmetric-radius :func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric`
-— run the same outer loop: compile trajectory prefixes up to an adaptive
-horizon, stack the merged event windows of every unresolved instance into flat
-arrays, solve all window quadratics with one chunked fused-kernel pass, and
-retry the instances that neither met nor terminated with a geometrically grown
-horizon.  This module holds that loop's building blocks so the two engines
-share one implementation:
+The batch engine's one round loop (``_run_rounds`` in :mod:`repro.sim.batch`,
+behind both :func:`repro.sim.batch.simulate_batch` and the asymmetric-radius
+:func:`repro.sim.batch_asymmetric.simulate_batch_asymmetric`) compiles
+trajectory prefixes up to an adaptive horizon, stacks the merged event windows
+of every unresolved instance into flat arrays, solves all window quadratics
+with one chunked fused-kernel pass, and retries the instances that neither met
+nor terminated with a geometrically grown horizon.  This module holds that
+loop's building blocks:
 
 * :class:`ProgramSource` — serves trajectory tables while consuming each
   instruction stream only once (shared builders for universal algorithms)
@@ -20,7 +20,7 @@ share one implementation:
 * :class:`RoundEntry` — one instance's tables, horizon and budget state for
   one round, including the exact reproduction of the event engine's
   ``max_segments`` stopping rule (:func:`entry_state_arrays` is the column
-  form the engines classify whole rounds with);
+  form the loop classifies whole rounds with);
 * :func:`build_windows` — the *flat* cross-instance window construction:
   grouped ``searchsorted`` range cuts, one stable lexsort merging every
   entry's two boundary runs at once, one entry-grouped deduplication pass and
@@ -32,15 +32,18 @@ share one implementation:
 * :func:`solve_round` — the chunked fused-kernel pass (one pluggable-backend
   call per chunk) with segmented first-hit/minimum reductions, optionally
   solving every window against a *second* per-window radius column in the
-  same pass (the asymmetric engine's freeze radius) and optionally fanning
+  same pass (the loop's freeze radius) and optionally fanning
   the chunks out over a persistent thread pool (``threads=``; numpy releases
   the GIL and chunks write disjoint output slices, so results stay
   bit-identical to the serial pass).
 
-Nothing in here depends on the meeting semantics: the drivers interpret the
-per-entry first-hit indices (meeting for the symmetric engine; meeting *or*
-freeze for the asymmetric one) and assemble results into flat columns
-(:mod:`repro.sim.columns`).
+* :func:`per_instance_option`, :func:`positive_option` and
+  :func:`stall_arrays` — the per-instance option columns the loop validates
+  and broadcasts before its empty-batch return.
+
+Nothing in here depends on the meeting semantics: the loop interprets the
+per-entry first-hit indices (meeting, and with freeze radii meeting *or*
+freeze) and assembles results into flat columns (:mod:`repro.sim.columns`).
 """
 
 from __future__ import annotations
@@ -343,7 +346,7 @@ def default_initial_horizon(instance: Instance, max_time: float) -> float:
 def per_instance_option(value: Any, count: int, label: str) -> np.ndarray:
     """Broadcast a scalar-or-sequence simulator option to a float column.
 
-    The shared shape rule of the batch engines' per-instance options
+    The shared shape rule of the batch engine's per-instance options
     (asymmetric radii, speed factors, stall schedules): a scalar applies to
     every instance, a sequence must match the batch length exactly.
     """
@@ -358,29 +361,42 @@ def per_instance_option(value: Any, count: int, label: str) -> np.ndarray:
     return array
 
 
+def positive_option(value: Any, count: int, label: str) -> np.ndarray:
+    """:func:`per_instance_option` for an option that must be positive and finite.
+
+    The values are checked as given, before broadcasting, so a bad scalar is
+    refused for every batch size — the empty batch included.
+    """
+    array = np.asarray(value, dtype=float)
+    if not bool(np.all(np.isfinite(array) & (array > 0.0))):
+        raise ValueError(f"{label} must be positive and finite")
+    return per_instance_option(array, count, label)
+
+
 def stall_arrays(
     stall_agent: Any, stall_time: Any, stall_duration: Any, count: int
 ) -> Optional[Tuple[str, np.ndarray, np.ndarray]]:
     """Validate and broadcast the stall trio for one batch (``None`` = inactive).
 
     Mirrors :func:`repro.sim.scenarios.stall_schedule` for the vectorized
-    engines, where ``stall_time`` / ``stall_duration`` may be per-instance
-    columns (``stall_agent`` is one agent for the whole batch).
+    engine, where ``stall_time`` / ``stall_duration`` may be per-instance
+    columns (``stall_agent`` is one agent for the whole batch).  Like
+    :func:`positive_option`, values are checked as given, before
+    broadcasting, so validation does not depend on the batch size.
     """
     if stall_agent is None and stall_time is None and stall_duration is None:
         return None
-    if stall_agent not in ("A", "B") or stall_time is None or stall_duration is None:
+    if stall_agent is None or stall_time is None or stall_duration is None:
         raise ValueError(
-            "stall_agent ('A'/'B'), stall_time and stall_duration must be "
-            "given together"
+            "stall_agent, stall_time and stall_duration must be given together"
         )
-    times = per_instance_option(stall_time, count, "stall_time")
-    durations = per_instance_option(stall_duration, count, "stall_duration")
+    if stall_agent not in ("A", "B"):
+        raise ValueError(f"stall_agent must be 'A' or 'B', got {stall_agent!r}")
+    times = np.asarray(stall_time, dtype=float)
     if not bool(np.all(np.isfinite(times) & (times >= 0.0))):
         raise ValueError("stall_time must be >= 0 and finite")
-    if not bool(np.all(np.isfinite(durations) & (durations > 0.0))):
-        raise ValueError("stall_duration must be positive and finite")
-    return str(stall_agent), times, durations
+    durations = positive_option(stall_duration, count, "stall_duration")
+    return str(stall_agent), per_instance_option(times, count, "stall_time"), durations
 
 
 class StallTransform:
@@ -524,7 +540,7 @@ class RoundEntry:
         """Termination reason if no window of this round contains a hit.
 
         ``None`` means the instance is unresolved at this horizon and must be
-        retried with a larger one.  The engines' round loops apply the same
+        retried with a larger one.  The batch round loop applies the same
         rule in bulk over :func:`entry_state_arrays` columns; this scalar
         form is the readable reference (and serves unit tests).
         """
@@ -553,7 +569,7 @@ def entry_state_arrays(
     """``(budget_limited, horizon, finish)`` columns over one round's entries.
 
     The array form of the per-entry state that
-    :meth:`RoundEntry.resolves_without_hit` consults, letting the engines
+    :meth:`RoundEntry.resolves_without_hit` consults, letting the round loop
     classify a whole round's misses with masks: ``budget_limited`` and the
     (possibly budget-capped) effective ``horizon`` per entry, and ``finish``
     — the absolute time at which *both* programs have ended (``inf`` when

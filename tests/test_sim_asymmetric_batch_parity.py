@@ -13,6 +13,7 @@ single-entry eviction bound, and the ``batch_interchangeable`` grouping
 opt-in.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -30,7 +31,7 @@ from repro.sim.asymmetric import simulate_asymmetric
 from repro.sim.batch import batch_group_key, simulate_batch
 from repro.sim.batch_asymmetric import simulate_batch_asymmetric
 from repro.sim.engine import RendezvousSimulator, simulate
-from repro.sim.results import TerminationReason
+from repro.sim.results import SimulationResult, TerminationReason
 from repro.util.errors import KnowledgeError
 
 MAX_TIME = 1e5
@@ -189,22 +190,50 @@ class TestAsymmetricParityAcrossClasses:
 
 
 class TestDegenerateCasesAndErrors:
-    def test_equal_radii_match_symmetric_batch(self):
+    @pytest.mark.parametrize(
+        "options",
+        (
+            {},
+            {"track_min_distance": False},
+            {
+                "speed_a": [0.5 + 0.25 * (k % 5) for k in range(24)],
+                "speed_b": [2.0 - 0.3 * (k % 4) for k in range(24)],
+            },
+            {
+                "stall_agent": "B",
+                "stall_time": [3.0 * (k % 7) for k in range(24)],
+                "stall_duration": [1.0 + 4.0 * (k % 3) for k in range(24)],
+            },
+        ),
+        ids=("plain", "untracked", "speeds", "stalls"),
+    )
+    def test_equal_radii_match_symmetric_batch(self, options):
+        # Equal radii never freeze, so the asymmetric engine's results must be
+        # the symmetric engine's, field for field and bit for bit.
         sampler = InstanceSampler(seed=5)
-        instances = sampler.batch_of_class(InstanceClass.TYPE_4, 4)
+        instances = [
+            instance
+            for cls in ALL_CLASSES[1:5]  # types 1..4
+            for instance in sampler.batch_of_class(cls, 6)
+        ]
         algorithm = get_algorithm("almost-universal-compact")
         symmetric = simulate_batch(
-            instances, algorithm, max_time=MAX_TIME, max_segments=MAX_SEGMENTS
+            instances, algorithm, max_time=MAX_TIME, max_segments=MAX_SEGMENTS,
+            **options,
         )
         asymmetric = simulate_batch_asymmetric(
-            instances, algorithm, max_time=MAX_TIME, max_segments=MAX_SEGMENTS
+            instances, algorithm, max_time=MAX_TIME, max_segments=MAX_SEGMENTS,
+            **options,
         )
+        compared = [
+            field.name
+            for field in dataclasses.fields(SimulationResult)
+            if field.name not in ("algorithm_name", "elapsed_wall_seconds")
+        ]
         for s, a in zip(symmetric, asymmetric):
-            assert a.frozen_agent is None  # equal radii never freeze
-            assert a.met == s.met
-            assert a.meeting_time == s.meeting_time
-            assert a.result.termination == s.termination
-            assert a.result.min_distance == pytest.approx(s.min_distance, rel=1e-12)
+            assert a.frozen_agent is None
+            for name in compared:
+                assert getattr(a.result, name) == getattr(s, name), name
 
     def test_zero_radius_ratio_rejected_by_both_engines(self):
         instance = Instance(r=0.5, x=2.0, y=0.0)

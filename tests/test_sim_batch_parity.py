@@ -21,7 +21,9 @@ from repro.contracts import check_engine_parity
 from repro.core.classification import InstanceClass
 from repro.core.instance import Instance
 from repro.parallel.runner import BatchRunner, BatchTask, run_batch
+from repro.sim import rounds
 from repro.sim.batch import simulate_batch
+from repro.sim.batch_asymmetric import simulate_batch_asymmetric
 from repro.sim.engine import RendezvousSimulator, simulate
 from repro.sim.results import TerminationReason
 from repro.util.errors import KnowledgeError, SimulationBudgetExceeded
@@ -302,3 +304,78 @@ class TestTerminationReasons:
             simulate_batch([instance], algorithm, radius_slack=-1.0)
         with pytest.raises(ValueError):
             simulate_batch([instance], algorithm, initial_horizon=0.0)
+
+
+#: Options each entry point must refuse, per entry point.
+BAD_OPTIONS = (
+    (simulate_batch, {"speed_a": -1.0}),
+    (simulate_batch, {"stall_agent": "C", "stall_time": 1.0, "stall_duration": 1.0}),
+    (simulate_batch, {"stall_agent": "A"}),
+    (simulate_batch_asymmetric, {"radius_a": -1.0}),
+    (simulate_batch_asymmetric, {"speed_a": -1.0}),
+)
+
+
+class TestOptionValidation:
+    @pytest.mark.parametrize("batch_size", (0, 1), ids=("empty", "one"))
+    @pytest.mark.parametrize(
+        "engine, options",
+        BAD_OPTIONS,
+        ids=[f"{engine.__name__}-{'-'.join(options)}" for engine, options in BAD_OPTIONS],
+    )
+    def test_refused_for_every_batch_size(self, engine, options, batch_size):
+        # Validation runs before the empty-batch return: a bad option must not
+        # depend on how many instances happen to be in the batch.
+        instances = [Instance(r=0.5, x=1.0, y=0.0)][:batch_size]
+        with pytest.raises(ValueError):
+            engine(instances, get_algorithm("stay-put"), **options)
+
+    def test_bad_stall_agent_is_named(self):
+        with pytest.raises(ValueError, match="stall_agent must be 'A' or 'B', got 'C'"):
+            simulate_batch(
+                [], get_algorithm("stay-put"),
+                stall_agent="C", stall_time=1.0, stall_duration=1.0,
+            )
+
+
+class TestKernelSelection:
+    """Each entry point reaches the kernel its radii call for.
+
+    The symmetric engine solves one radius per window and must never pay
+    for the dual kernel; the asymmetric engine solves the meeting and the
+    freeze radius in one dual pass.
+    """
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls = {"fused_window_batch": 0, "fused_window_batch_dual": 0}
+        for name in calls:
+            real = getattr(rounds, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(rounds, name, counted)
+        return calls
+
+    @pytest.fixture
+    def instances(self):
+        return InstanceSampler(seed=2).batch_of_class(InstanceClass.TYPE_1, 4)
+
+    def test_symmetric_uses_single_radius_kernel(self, kernel_calls, instances):
+        simulate_batch(
+            instances, get_algorithm("almost-universal-compact"),
+            max_time=MAX_TIME, max_segments=MAX_SEGMENTS,
+        )
+        assert kernel_calls["fused_window_batch"] > 0
+        assert kernel_calls["fused_window_batch_dual"] == 0
+
+    def test_asymmetric_uses_dual_kernel(self, kernel_calls, instances):
+        simulate_batch_asymmetric(
+            instances, get_algorithm("almost-universal-compact"),
+            radius_b=[instance.r * 0.5 for instance in instances],
+            max_time=MAX_TIME, max_segments=MAX_SEGMENTS,
+        )
+        assert kernel_calls["fused_window_batch_dual"] > 0
+        assert kernel_calls["fused_window_batch"] == 0
