@@ -13,12 +13,17 @@ radii and the freeze event.  Inputs are the benchmark's engine instances
 (``perfbench/workloads.py``: 400 stratified type-1..4 instances from seed 1,
 its algorithm and budgets); the asymmetric batches use its Section 5
 radius-ratio grid, the speed and stall batches per-instance columns on every
-third instance.  The last line is the benchmark's ``columns_digest`` of a
-small campaign store.
+third instance.  The ``campaign_columns`` line is the benchmark's
+``columns_digest`` of a small campaign store.  The ``program_columns`` line
+is a sha256 over the four program-builder columns (``dx``, ``dy``,
+``duration``, ``cumulative``) of the first ``PROGRAM_ROWS`` rows of
+``almost-universal`` and ``almost-universal-compact``, the batch engine's
+input, so program-generation changes are checked row by row.
 """
 
 import dataclasses
 import hashlib
+import math
 import os
 import shutil
 import sys
@@ -29,6 +34,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 import workloads  # noqa: E402
 from repro.algorithms.registry import get_algorithm  # noqa: E402
 from repro.campaign import CampaignStore, run_campaign  # noqa: E402
+from repro.motion.compiler import LocalProgramBuilder  # noqa: E402
 from repro.sim.batch import simulate_batch  # noqa: E402
 from repro.sim.batch_asymmetric import simulate_batch_asymmetric  # noqa: E402
 
@@ -46,6 +52,24 @@ def digest(items) -> str:
             fields.append((item.radius_a, item.radius_b, item.frozen_agent,
                            item.freeze_time, item.freeze_distance))
         sha.update(repr(fields).encode())
+    return sha.hexdigest()
+
+
+PROGRAM_ROWS = 300_000
+
+
+def program_digest(names=("almost-universal", "almost-universal-compact")) -> str:
+    sha = hashlib.sha256()
+    for name in names:
+        algorithm = get_algorithm(name)
+        # Checkouts whose builder reads instructions have no program_columns.
+        columns = getattr(algorithm, "program_columns", None)
+        builder = LocalProgramBuilder(columns() if columns else algorithm.program())
+        builder.ensure_time(math.inf, max_steps=PROGRAM_ROWS)
+        table = builder.snapshot(max_steps=PROGRAM_ROWS)
+        assert len(table) == PROGRAM_ROWS
+        for column in (table.dx, table.dy, table.duration, table.cumulative):
+            sha.update(column.tobytes())
     return sha.hexdigest()
 
 
@@ -90,6 +114,7 @@ def main() -> None:
         print(f"{'campaign_columns':20s} {workloads.columns_digest(CampaignStore(directory))}")
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
+    print(f"{'program_columns':20s} rows={PROGRAM_ROWS} {program_digest()}")
 
 
 if __name__ == "__main__":

@@ -28,9 +28,14 @@ from typing import Iterator, Optional, Tuple
 
 from repro.algorithms.base import UniversalAlgorithm
 from repro.algorithms.cgkk import cgkk_program
-from repro.algorithms.cow_walk import planar_cow_walk, planar_cow_walk_segment_count
+from repro.algorithms.cow_walk import (
+    cow_walk_columns,
+    planar_cow_walk,
+    planar_cow_walk_segment_count,
+)
 from repro.algorithms.latecomers import latecomers_program
 from repro.algorithms.schedules import PaperSchedule, Schedule
+from repro.motion.compiler import ColumnChunk, instruction_chunks
 from repro.motion.instructions import Instruction, Wait
 from repro.motion.program import (
     chunked_with_waits,
@@ -40,11 +45,13 @@ from repro.motion.program import (
 )
 
 #: Phases whose estimated instruction count stays below this are memoized as
-#: tuples, keyed by (schedule, phase index).  The program is instance-
-#: independent — every agent of every batched simulation replays the same
-#: stream — so regenerating the rotated cow walks per run is pure overhead.
-#: Deeper phases stay on the lazy generators: they are astronomically long,
-#: always truncated by simulation budgets, and would blow up memory.
+#: tuples, keyed by (schedule, phase index), for the event engine: the
+#: program is instance-independent, so regenerating the rotated cow walks per
+#: simulation is pure overhead.  (The batch engine reads the program as
+#: columns, :meth:`AlmostUniversalRV.program_columns`, and never builds these
+#: tuples.)  Deeper phases stay on the lazy generators: they are
+#: astronomically long, always truncated by simulation budgets, and would
+#: blow up memory.
 PHASE_MEMO_INSTRUCTION_LIMIT = 250_000
 
 
@@ -115,7 +122,12 @@ class AlmostUniversalRV(UniversalAlgorithm):
 
     # -- the algorithm ---------------------------------------------------------------------
     def _phase_steps(self, i: int):
-        """Phase ``i``, memoized when small (and the subclass did not override it)."""
+        """Phase ``i``, memoized when small (and the subclass did not override it).
+
+        Only instruction consumers get here — the event engine and
+        :meth:`program`'s other callers; the batch engine reads
+        :meth:`program_columns`.
+        """
         if type(self) is AlmostUniversalRV and _phase_is_cacheable(self.schedule, i):
             return phase_instruction_list(self.schedule, i)
         return self.phase(i)
@@ -124,6 +136,34 @@ class AlmostUniversalRV(UniversalAlgorithm):
         i = 1
         while self.max_phase is None or i <= self.max_phase:
             yield from self._phase_steps(i)
+            i += 1
+
+    def program_columns(self) -> Iterator[ColumnChunk]:
+        """The program as column chunks, its cow walks built straight as arrays.
+
+        Blocks 1 and 3 are almost every row of a phase; they come from the
+        coded walk (:func:`~repro.algorithms.cow_walk.cow_walk_columns`)
+        without one ``Move`` per row.  Blocks 2 and 4, bounded by ``2**i``
+        local time, and block 3's wait are adapted from their instructions.
+        Subclasses and unhashable schedules (no ``program_cache_key``) adapt
+        :meth:`program` instead, so an overridden :meth:`phase` is honoured.
+        """
+        if self.program_cache_key is None:
+            return super().program_columns()
+        return self._columns()
+
+    def _columns(self) -> Iterator[ColumnChunk]:
+        schedule = self.schedule
+        i = 1
+        while self.max_phase is None or i <= self.max_phase:
+            resolution = schedule.planar_resolution(i)
+            step = schedule.rotation_step(i)
+            for j in range(1, schedule.rotations(i) + 1):
+                yield from cow_walk_columns(resolution, j * step)
+            yield from instruction_chunks(self._block2_type2(i))
+            yield from instruction_chunks([Wait(schedule.block3_wait(i))])
+            yield from cow_walk_columns(resolution)
+            yield from instruction_chunks(self._block4_type4(i))
             i += 1
 
 

@@ -28,6 +28,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from repro.core.canonical import canonical_geometry
 from repro.core.instance import AgentSpec, Instance
 from repro.geometry.vec import Vec2, norm, scale, sub
+from repro.motion.compiler import ColumnChunk, instruction_chunks
 from repro.motion.instructions import Instruction
 from repro.util.errors import KnowledgeError
 
@@ -135,6 +136,15 @@ class UniversalAlgorithm(Algorithm):
     def program(self) -> Iterator[Instruction]:
         """The (usually infinite) instruction stream executed by every agent."""
         raise NotImplementedError
+
+    def program_columns(self) -> Iterator[ColumnChunk]:
+        """The same program as ``(dx, dy, duration)`` column chunks.
+
+        This is what the vectorized batch engine consumes.  The default adapts
+        :meth:`program`; an algorithm that can emit its rows as arrays
+        overrides it with a stream of bit-identical rows.
+        """
+        return instruction_chunks(self.program())
 
     def program_for(
         self, instance: Instance, spec: AgentSpec, role: str

@@ -15,11 +15,23 @@ lets an agent pass within ``2**-i`` local units of every point of the square
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
-from typing import Iterator, Tuple
+from typing import Iterator, Optional, Tuple
+
+import numpy as np
 
 from repro.algorithms.base import UniversalAlgorithm
-from repro.motion.instructions import Instruction, go_east, go_north, go_south, go_west
+from repro.motion.compiler import ColumnChunk
+from repro.motion.instructions import (
+    Instruction,
+    Move,
+    go_east,
+    go_north,
+    go_south,
+    go_west,
+    rotated_components,
+)
 
 #: Walks whose analytic segment count stays below this are memoized as tuples
 #: (instance-independent instruction streams: every agent of every batched
@@ -83,6 +95,76 @@ def planar_cow_walk(i: int) -> Iterator[Instruction]:
     if planar_cow_walk_segment_count(i) <= MEMO_SEGMENT_LIMIT:
         return iter(_planar_cow_walk_steps(i))
     return _planar_cow_walk_gen(i)
+
+
+# -- columnar form, for the vectorized batch engine ------------------------------------
+
+#: Most rows per column chunk of :func:`cow_walk_columns`: a rotated walk of a
+#: deep phase (3.3M rows at resolution 8) is emitted in bounded pieces, like
+#: the lazy generators.
+COLUMN_CHUNK_ROWS = 65_536
+
+
+@lru_cache(maxsize=16)
+def planar_cow_walk_code(i: int) -> Tuple[Tuple[Move, ...], np.ndarray]:
+    """``PlanarCowWalk(i)`` as an alphabet of ``3i + 4`` moves and a code per step.
+
+    ``[alphabet[k] for k in codes]`` equals ``list(planar_cow_walk(i))``: codes
+    ``0 .. 3i-1`` are the moves of ``LinearCowWalk(i)`` in order, then come the
+    row hops North and South and the returns South and North to the start.
+    The ``uint8`` codes are built from that repeating structure, not by
+    running the walk.
+    """
+    if i < 0:
+        raise ValueError("PlanarCowWalk parameter must be non-negative")
+    row_step = 1.0 / float(2**i)
+    rows = 2 ** (2 * i)
+    half_height = float(2**i)
+    alphabet = _linear_cow_walk_steps(i) + (
+        go_north(row_step),
+        go_south(row_step),
+        go_south(half_height),
+        go_north(half_height),
+    )
+    linear = np.arange(3 * i, dtype=np.uint8)
+    north, south, home_south, home_north = np.arange(3 * i, 3 * i + 4, dtype=np.uint8)
+    codes = np.concatenate(
+        (
+            linear,
+            np.tile(np.append(north, linear), rows),
+            [home_south],
+            np.tile(np.append(south, linear), rows),
+            [home_north],
+        )
+    ).astype(np.uint8)
+    codes.flags.writeable = False
+    return alphabet, codes
+
+
+def cow_walk_columns(i: int, alpha: Optional[float] = None) -> Iterator[ColumnChunk]:
+    """``PlanarCowWalk(i)`` as ``(dx, dy, duration)`` chunks, optionally rotated.
+
+    Only the alphabet is rotated, through the arithmetic of
+    :meth:`~repro.motion.instructions.Move.rotated`, and only the alphabet's
+    lengths are taken with ``math.hypot``; indexing by the codes then yields
+    rows bit-identical to ``rotate_instructions(planar_cow_walk(i), alpha)``
+    (null moves dropped, as :func:`~repro.motion.compiler.instruction_chunks`
+    does).
+    """
+    alphabet, codes = planar_cow_walk_code(i)
+    if alpha is None:
+        moves = [(move.dx, move.dy) for move in alphabet]
+    else:
+        moves = [rotated_components(move.dx, move.dy, alpha) for move in alphabet]
+    dx = np.array([x for x, _ in moves])
+    dy = np.array([y for _, y in moves])
+    length = np.array([math.hypot(x, y) for x, y in moves])
+    moving = (dx != 0.0) | (dy != 0.0)
+    if not moving.all():
+        codes = codes[moving[codes]]
+    for start in range(0, len(codes), COLUMN_CHUNK_ROWS):
+        part = codes[start : start + COLUMN_CHUNK_ROWS]
+        yield dx[part], dy[part], length[part]
 
 
 # -- analytic helpers used by schedules, tests and benchmarks -----------------------

@@ -43,6 +43,7 @@ from repro.motion.compiler import (
     compile_table,
     compile_trajectory,
     compile_trajectory_table,
+    instruction_chunks,
     local_program_table,
     sleep_segment,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "compile_trajectory",
     "compile_trajectory_table",
     "compile_table",
+    "instruction_chunks",
     "local_program_table",
     "sleep_segment",
 ]

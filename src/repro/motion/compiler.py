@@ -21,8 +21,9 @@ units next to sub-unit moves.
 
 Besides the lazy segment-by-segment mode, the compiler has a *bulk* mode for
 the vectorized batch engine: :class:`LocalProgramBuilder` accumulates a local
-instruction stream into columnar numpy arrays (consumed once, reusable across
-every instance running the same universal program), and
+program, arriving as ``(dx, dy, duration)`` column chunks, into columnar numpy
+arrays (consumed once, reusable across every instance running the same
+universal program; :func:`instruction_chunks` adapts instruction streams), and
 :func:`compile_trajectory_table` turns such a columnar program into a
 :class:`TrajectoryTable` — the absolute-time trajectory of one agent as plain
 float arrays — with a handful of array operations instead of per-segment
@@ -226,20 +227,72 @@ class LocalProgramTable:
         return float(self.cumulative[-1]) if len(self) else 0.0
 
 
-class LocalProgramBuilder:
-    """Incrementally consumes an instruction stream into columnar arrays.
+#: One column chunk of a local program: ``(dx, dy, duration)`` float64 arrays
+#: of equal length, one row per non-null instruction.
+ColumnChunk = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    The builder pulls instructions only on demand (:meth:`ensure_time` /
-    :meth:`ensure_steps`), so infinite programs can be consumed under a
-    budget, and :meth:`snapshot` returns array *views* — one builder can serve
-    every instance of a batch that runs the same universal program, each with
-    its own local-time budget.
+#: Rows per chunk of :func:`instruction_chunks`, and the block length of the
+#: builder's ``cumulative`` fold (see :class:`LocalProgramBuilder`).
+_BLOCK = 1024
+
+
+def instruction_chunks(program: Iterable[Instruction]) -> Iterator[ColumnChunk]:
+    """Adapt an instruction stream to column chunks of up to ``_BLOCK`` rows.
+
+    Null moves and zero waits are dropped; a wait is a row with zero
+    displacement and a move's duration is its length.  The stream is pulled
+    lazily, one chunk at a time, so infinite programs stay consumable.
+    """
+    dx, dy, duration = [], [], []
+    for instruction in program:
+        if isinstance(instruction, Wait):
+            if instruction.duration == 0.0:
+                continue
+            dx.append(0.0)
+            dy.append(0.0)
+            duration.append(instruction.duration)
+        elif isinstance(instruction, Move):
+            if instruction.is_null():
+                continue
+            dx.append(instruction.dx)
+            dy.append(instruction.dy)
+            duration.append(instruction.length)
+        else:  # pragma: no cover - defensive
+            raise AlgorithmContractError(f"unknown instruction {instruction!r}")
+        if len(duration) >= _BLOCK:
+            yield np.array(dx), np.array(dy), np.array(duration)
+            dx, dy, duration = [], [], []
+    if duration:
+        yield np.array(dx), np.array(dy), np.array(duration)
+
+
+#: Marks the end of a chunk stream.
+_END = object()
+
+
+class LocalProgramBuilder:
+    """Incrementally consumes column chunks of a local program into columnar arrays.
+
+    The input is an iterable of ``(dx, dy, duration)`` chunks (instruction
+    streams come in through :func:`instruction_chunks`; universal algorithms
+    provide theirs via ``program_columns()``).  The builder pulls chunks only
+    on demand (:meth:`ensure_time`), so infinite programs can be consumed
+    under a budget, and :meth:`snapshot` returns array *views* — one builder
+    can serve every instance of a batch that runs the same universal program,
+    each with its own local-time budget.  A snapshot that covers every row
+    consumed so far reads one chunk ahead, so its ``complete`` flag knows
+    whether the program ends there.
+
+    ``cumulative`` is folded in blocks of ``_BLOCK`` rows aligned at the
+    builder's start: each block adds its own running sum to the cumulative
+    value before it (``base + cumsum(block)``), whatever the chunk sizes.
+    Every consumer's float sums follow from that one rule, so it must not
+    become a single running sum.
     """
 
-    _CHUNK = 1024
-
-    def __init__(self, program: Iterable[Instruction]) -> None:
-        self._iter = iter(program)
+    def __init__(self, chunks: Iterable[ColumnChunk]) -> None:
+        self._chunks = iter(chunks)
+        self._pending: Any = None
         self._size = 0
         self._dx = np.empty(0, dtype=float)
         self._dy = np.empty(0, dtype=float)
@@ -264,7 +317,7 @@ class LocalProgramBuilder:
         capacity = self._duration.shape[0]
         if needed <= capacity:
             return
-        new_capacity = max(self._CHUNK, 2 * capacity, needed)
+        new_capacity = max(_BLOCK, 2 * capacity, needed)
         for name in ("_dx", "_dy", "_duration", "_cumulative"):
             old = getattr(self, name)
             grown = np.empty(new_capacity, dtype=float)
@@ -272,42 +325,47 @@ class LocalProgramBuilder:
             setattr(self, name, grown)
 
     def _append(self, dx, dy, duration) -> None:
-        base = self.consumed_local_time
-        new_dur = np.asarray(duration, dtype=float)
-        count = new_dur.shape[0]
-        end = self._size + count
+        start = self._size
+        end = start + len(duration)
+        if end == start:
+            return
         self._ensure_capacity(end)
-        self._dx[self._size:end] = dx
-        self._dy[self._size:end] = dy
-        self._duration[self._size:end] = new_dur
-        self._cumulative[self._size:end] = base + np.cumsum(new_dur)
+        self._dx[start:end] = dx
+        self._dy[start:end] = dy
+        self._duration[start:end] = duration
+        # The blocked fold over every block the chunk touches, from the start
+        # of the (possibly part-filled) first one: an in-block cumsum per row
+        # of a zero-padded 2-D view, plus each block's base, itself the
+        # sequential fold of the block totals before it.
+        head = start - start % _BLOCK
+        blocks = -(-(end - head) // _BLOCK)
+        padded = np.zeros(blocks * _BLOCK)
+        padded[: end - head] = self._duration[head:end]
+        inner = np.cumsum(padded.reshape(blocks, _BLOCK), axis=1)
+        bases = np.empty(blocks)
+        bases[0] = self._cumulative[head - 1] if head else 0.0
+        bases[1:] = inner[:-1, -1]
+        np.cumsum(bases, out=bases)
+        inner += bases[:, None]
+        self._cumulative[start:end] = inner.ravel()[start - head : end - head]
         self._size = end
 
-    def _pull_chunk(self) -> bool:
-        """Consume up to ``_CHUNK`` instructions; return False when exhausted."""
-        dx, dy, duration = [], [], []
-        for instruction in self._iter:
-            if isinstance(instruction, Wait):
-                if instruction.duration == 0.0:
-                    continue
-                dx.append(0.0)
-                dy.append(0.0)
-                duration.append(instruction.duration)
-            elif isinstance(instruction, Move):
-                if instruction.is_null():
-                    continue
-                dx.append(instruction.dx)
-                dy.append(instruction.dy)
-                duration.append(instruction.length)
-            else:  # pragma: no cover - defensive
-                raise AlgorithmContractError(f"unknown instruction {instruction!r}")
-            if len(duration) >= self._CHUNK:
-                self._append(dx, dy, duration)
-                return True
-        if duration:
-            self._append(dx, dy, duration)
-        self.exhausted = True
-        return False
+    def _pull(self) -> None:
+        """Append the next chunk (the one read ahead, if any)."""
+        chunk, self._pending = self._pending, None
+        if chunk is None:
+            chunk = next(self._chunks, _END)
+        if chunk is _END:
+            self.exhausted = True
+        else:
+            self._append(*chunk)
+
+    def _ends_here(self) -> bool:
+        """Whether no row follows those consumed, reading one chunk ahead."""
+        if not self.exhausted and self._pending is None:
+            self._pending = next(self._chunks, _END)
+            self.exhausted = self._pending is _END
+        return self.exhausted
 
     def ensure_time(self, local_time: float, *, max_steps: Optional[int] = None) -> None:
         """Consume until the covered local time reaches ``local_time``.
@@ -317,7 +375,7 @@ class LocalProgramBuilder:
         while not self.exhausted and self.consumed_local_time < local_time:
             if max_steps is not None and len(self) >= max_steps:
                 return
-            self._pull_chunk()
+            self._pull()
 
     def snapshot(
         self, local_time: Optional[float] = None, *, max_steps: Optional[int] = None
@@ -341,7 +399,7 @@ class LocalProgramBuilder:
             count = min(count, len(self))
         if max_steps is not None:
             count = min(count, max_steps)
-        complete = self.exhausted and count == len(self)
+        complete = count == len(self) and self._ends_here()
         return LocalProgramTable(
             dx=self._dx[:count],
             dy=self._dy[:count],
@@ -358,11 +416,7 @@ def local_program_table(
     max_steps: Optional[int] = None,
 ) -> LocalProgramTable:
     """One-shot convenience: accumulate ``program`` into a columnar table."""
-    builder = LocalProgramBuilder(program)
-    if max_local_time is None and max_steps is None:
-        while not builder.exhausted:
-            builder._pull_chunk()
-        return builder.snapshot()
+    builder = LocalProgramBuilder(instruction_chunks(program))
     if max_local_time is None:
         builder.ensure_time(math.inf, max_steps=max_steps)
         return builder.snapshot(max_steps=max_steps)

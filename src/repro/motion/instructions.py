@@ -18,9 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Tuple, Union
 
 from repro.util.errors import AlgorithmContractError
+
+
+def rotated_components(dx: float, dy: float, alpha: float) -> Tuple[float, float]:
+    """``(dx, dy)`` rotated by ``alpha`` (ccw): the arithmetic of :meth:`Move.rotated`.
+
+    The batch engine's columnar cow walks rotate their move alphabets through
+    this function, so their rows are bit-identical to rotated ``Move`` objects.
+    """
+    c = math.cos(alpha)
+    s = math.sin(alpha)
+    return c * dx - s * dy, s * dx + c * dy
 
 
 @dataclass(frozen=True)
@@ -58,9 +69,7 @@ class Move:
 
     def rotated(self, alpha: float) -> "Move":
         """The move expressed after rotating the working frame by ``alpha`` (ccw)."""
-        c = math.cos(alpha)
-        s = math.sin(alpha)
-        return Move(c * self.dx - s * self.dy, s * self.dx + c * self.dy)
+        return Move(*rotated_components(self.dx, self.dy, alpha))
 
     def scaled(self, factor: float) -> "Move":
         """The move scaled by a positive factor."""

@@ -68,6 +68,7 @@ from repro.motion.compiler import (
     IncrementalTableCompiler,
     LocalProgramBuilder,
     TrajectoryTable,
+    instruction_chunks,
 )
 from repro.obs import core as _obs
 from repro.sim.engine import _resolve_program
@@ -228,12 +229,13 @@ def compiler_cache_admission(policy: str) -> Iterator[None]:
 
 
 class ProgramSource:
-    """Serves trajectory tables, consuming each instruction stream only once.
+    """Serves trajectory tables, consuming each program only once.
 
     Universal algorithms share a single :class:`LocalProgramBuilder` across
-    every agent of every instance; non-universal programs get one builder per
-    (instance, role), created on first use and *extended* (never re-created)
-    as the adaptive horizon grows.
+    every agent of every instance, fed by the algorithm's
+    ``program_columns()``; non-universal programs get one builder per
+    (instance, role) over their adapted instruction stream, created on first
+    use and *extended* (never re-created) as the adaptive horizon grows.
     """
 
     def __init__(self, algorithm: Any, max_segments: Optional[int]) -> None:
@@ -273,9 +275,7 @@ class ProgramSource:
                 if cache_key is not None:
                     self._shared = _BUILDER_CACHE.pop(cache_key, None)
                 if self._shared is None:
-                    self._shared = LocalProgramBuilder(
-                        _resolve_program(self.algorithm, instance, spec, role)
-                    )
+                    self._shared = LocalProgramBuilder(self.algorithm.program_columns())
                 if cache_key is not None:
                     # (Re-)insert at the back: dict order is the LRU order.
                     _BUILDER_CACHE[cache_key] = self._shared
@@ -286,7 +286,7 @@ class ProgramSource:
             builder = self._builders.get(key)
             if builder is None:
                 builder = LocalProgramBuilder(
-                    _resolve_program(self.algorithm, instance, spec, role)
+                    instruction_chunks(_resolve_program(self.algorithm, instance, spec, role))
                 )
                 self._builders[key] = builder
         local = builder.snapshot(local_budget, max_steps=self.max_steps)

@@ -20,6 +20,7 @@ from repro.motion.compiler import (
     compile_table,
     compile_trajectory,
     compile_trajectory_table,
+    instruction_chunks,
     local_program_table,
 )
 from repro.motion.instructions import Move, Wait
@@ -67,7 +68,7 @@ class TestLocalProgramBuilder:
 
     def test_budgeted_snapshot_covers_requested_time(self):
         program = [Wait(1.0)] * 20
-        builder = LocalProgramBuilder(program)
+        builder = LocalProgramBuilder(instruction_chunks(program))
         snap = builder.snapshot(4.5)
         assert snap.total_duration >= 4.5
         assert not snap.complete
@@ -81,14 +82,14 @@ class TestLocalProgramBuilder:
                 k += 1.0
                 yield Wait(k)
 
-        builder = LocalProgramBuilder(stream())
+        builder = LocalProgramBuilder(instruction_chunks(stream()))
         early = builder.snapshot(1.0)
         early_durations = early.duration.copy()
         builder.ensure_time(1e7)
         assert np.array_equal(early.duration, early_durations)
 
     def test_max_steps_bound(self):
-        builder = LocalProgramBuilder(Wait(1.0) for _ in range(10**6))
+        builder = LocalProgramBuilder(instruction_chunks(Wait(1.0) for _ in range(10**6)))
         snap = builder.snapshot(1e18, max_steps=100)
         assert len(snap) == 100 and not snap.complete
 

@@ -23,7 +23,7 @@ from repro.algorithms.registry import available_algorithms, get_algorithm
 from repro.analysis.sampler import InstanceSampler
 from repro.core.classification import InstanceClass
 from repro.core.instance import Instance
-from repro.motion.compiler import LocalProgramBuilder
+from repro.motion.compiler import LocalProgramBuilder, instruction_chunks
 from repro.motion.instructions import Move
 from repro.parallel.runner import BatchRunner, BatchTask, run_batch
 from repro.sim import rounds
@@ -477,7 +477,7 @@ class TestSection5Experiment:
 
 
 def _builder_with_rows(rows: int) -> LocalProgramBuilder:
-    builder = LocalProgramBuilder(Move(1.0, 0.0) for _ in range(rows))
+    builder = LocalProgramBuilder(instruction_chunks(Move(1.0, 0.0) for _ in range(rows)))
     builder.ensure_time(math.inf)
     assert len(builder) == rows
     return builder
